@@ -114,26 +114,48 @@ func BenchmarkDecodeBaseline(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeProgressive decodes scan prefixes of progressive streams,
+// as the PCR loader does at a chosen quality: the first scan only, half the
+// scans, and all of them. The q1-to-full ns/op ratio is how much decode
+// work reading fewer scans saves.
 func BenchmarkDecodeProgressive(b *testing.B) {
 	imgs := benchImages(b, 8)
 	var prog [][]byte
-	var total int64
+	var idxs []*jpegc.StreamIndex
 	for _, d := range imgs {
 		p, err := jpegc.Transcode(d, &jpegc.Options{Progressive: true})
 		if err != nil {
 			b.Fatal(err)
 		}
+		idx, err := jpegc.IndexScans(p)
+		if err != nil {
+			b.Fatal(err)
+		}
 		prog = append(prog, p)
-		total += int64(len(p))
+		idxs = append(idxs, idx)
 	}
-	b.SetBytes(total)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, d := range prog {
-			if _, err := jpegc.Decode(d); err != nil {
+	nscans := len(idxs[0].Scans)
+	for _, n := range []int{1, nscans / 2, nscans} {
+		var streams [][]byte
+		var total int64
+		for i, p := range prog {
+			trunc, err := jpegc.TruncateToScan(p, idxs[i], n)
+			if err != nil {
 				b.Fatal(err)
 			}
+			streams = append(streams, trunc)
+			total += int64(len(trunc))
 		}
+		b.Run(fmt.Sprintf("scans=%d", n), func(b *testing.B) {
+			b.SetBytes(total)
+			for i := 0; i < b.N; i++ {
+				for _, d := range streams {
+					if _, err := jpegc.Decode(d); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -190,6 +190,28 @@ func TestShortPrefixRejected(t *testing.T) {
 	}
 }
 
+func TestSampleJPEGAllocatesOnce(t *testing.T) {
+	// Reassembly runs once per image per epoch, so it sizes its output
+	// exactly instead of growing it.
+	samples := buildSamples(t, 4)
+	data, meta := writeTestRecord(t, samples)
+	for g := 1; g <= meta.NumGroups; g++ {
+		var stream []byte
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if stream, err = meta.SampleJPEG(data, 1, g); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("group %d: %v allocations per SampleJPEG, want 1", g, allocs)
+		}
+		if len(stream) != cap(stream) {
+			t.Errorf("group %d: len %d, cap %d, want equal", g, len(stream), cap(stream))
+		}
+	}
+}
+
 func TestParseRejectsDamage(t *testing.T) {
 	samples := buildSamples(t, 2)
 	data, _ := writeTestRecord(t, samples)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"image"
 	"io"
+	"slices"
 
 	"repro/internal/jpegc"
 	"repro/internal/wire"
@@ -328,6 +329,7 @@ func parseSampleMeta(raw []byte) (SampleMeta, error) {
 			if err != nil {
 				return sm, err
 			}
+			sm.GroupLens = slices.Grow(sm.GroupLens, len(vs))
 			for _, v := range vs {
 				sm.GroupLens = append(sm.GroupLens, int64(v))
 			}
@@ -372,7 +374,11 @@ func (m *RecordMeta) SampleJPEG(prefix []byte, i, g int) ([]byte, error) {
 		return nil, fmt.Errorf("core: prefix has %d bytes, scan group %d needs %d", len(prefix), g, need)
 	}
 	s := &m.Samples[i]
-	out := make([]byte, 0, len(s.Header)+64)
+	n := int64(len(s.Header)) + 2 // header and EOI
+	for _, l := range s.GroupLens[:g] {
+		n += l
+	}
+	out := make([]byte, 0, n)
 	out = append(out, s.Header...)
 	groupStart := m.BodyStart
 	for k := 0; k < g; k++ {

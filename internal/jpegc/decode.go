@@ -1,8 +1,12 @@
 package jpegc
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"image"
+	stdjpeg "image/jpeg"
+	"io"
 )
 
 // decoder holds the marker-level and entropy-level state of one decode.
@@ -68,13 +72,26 @@ func DecodeCoeffs(data []byte) (*CoeffImage, error) {
 	return ci, nil
 }
 
-// Decode parses a JPEG stream and reconstructs the image.
+// errShortHuffmanData is the error image/jpeg returns when a stream ends
+// inside a scan's entropy-coded data; FormatError is a string, so equal
+// messages compare equal.
+var errShortHuffmanData = stdjpeg.FormatError("short Huffman data")
+
+// Decode decodes a JPEG stream (baseline or progressive, including a PCR
+// scan-group prefix terminated with EOI) to pixels. The pixels come from
+// the standard library's image/jpeg decoder; jpegc itself reconstructs
+// only coefficients (DecodeCoeffs). Color images are *image.YCbCr at the
+// stream's native subsampling, grayscale *image.Gray. A stream that ends
+// before its EOI marker returns an error wrapping ErrTruncated.
 func Decode(data []byte) (image.Image, error) {
-	ci, err := DecodeCoeffs(data)
-	if err != nil {
-		return nil, err
+	img, err := stdjpeg.Decode(bytes.NewReader(data))
+	if errors.Is(err, io.ErrUnexpectedEOF) || err == errShortHuffmanData {
+		return nil, fmt.Errorf("%w: %w", ErrTruncated, err)
 	}
-	return ToImage(ci), nil
+	if err != nil {
+		return nil, fmt.Errorf("jpegc: %w", err)
+	}
+	return img, nil
 }
 
 func (d *decoder) run() error {

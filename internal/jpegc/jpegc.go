@@ -9,6 +9,11 @@
 // jpegtran (lossless baseline→progressive transform) followed by a marker
 // scan that locates the byte ranges of each scan.
 //
+// Pixels are the standard library's job: Decode hands the stream to
+// image/jpeg, which decodes every scan prefix a PCR produces, and jpegc
+// does not reconstruct pixels itself. Its own decoder stops at the
+// coefficients (DecodeCoeffs), which is what Transcode needs.
+//
 // The codec is deliberately restricted to the subset the PCR system needs:
 //
 //   - 8-bit samples, grayscale (1 component) or YCbCr (3 components)
@@ -18,7 +23,7 @@
 //
 // Streams produced here are valid interchange-format JPEG: tests verify that
 // the standard library's image/jpeg decoder accepts them and produces the
-// same pixels.
+// pixels that DecodeCoeffs' coefficients imply.
 package jpegc
 
 import (
@@ -207,9 +212,10 @@ func (ci *CoeffImage) validate() error {
 	return nil
 }
 
-// ErrTruncated is returned by Decode when the stream ends before an EOI
-// marker. Progressive reconstructions from complete scan prefixes are not
-// truncated in this sense: the PCR decoder appends EOI to the prefix.
+// ErrTruncated is returned by DecodeCoeffs, and wrapped by Decode, when the
+// stream ends before an EOI marker. Progressive reconstructions from
+// complete scan prefixes are not truncated in this sense: the PCR decoder
+// appends EOI to the prefix.
 var ErrTruncated = errors.New("jpegc: truncated stream")
 
 // zigzag maps a zigzag-order index to natural (row-major) order.

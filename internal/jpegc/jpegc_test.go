@@ -2,6 +2,7 @@ package jpegc
 
 import (
 	"bytes"
+	"errors"
 	"image"
 	"image/color"
 	stdjpeg "image/jpeg"
@@ -306,7 +307,8 @@ func TestCoeffRoundTripGray(t *testing.T) {
 }
 
 // TestStdlibInterop verifies that the standard library's decoder accepts our
-// streams and reconstructs the same pixels our decoder does.
+// streams and reconstructs the pixels that our own coefficient decoder's
+// output implies.
 func TestStdlibInterop(t *testing.T) {
 	img := testImage(64, 64, 21)
 	for name, opts := range encodings(t) {
@@ -319,12 +321,9 @@ func TestStdlibInterop(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stdlib refused our stream: %v", err)
 			}
-			ourImg, err := Decode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Compare pixel-wise with a tolerance of 1 (stdlib uses scaled
-			// integer IDCT; we use float).
+			ourImg := referenceDecode(t, data)
+			// Compare pixel-wise with a small tolerance (stdlib uses a
+			// scaled integer IDCT; the reference uses float).
 			diff := maxPixelDiff(t, stdImg, ourImg)
 			if diff > 2 {
 				t.Errorf("max pixel difference vs stdlib = %d", diff)
@@ -453,9 +452,9 @@ func TestTruncatedPrefixesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scan prefix %d: decode: %v", n, err)
 		}
-		// stdlib must also accept the truncated stream.
-		if _, err := stdjpeg.Decode(bytes.NewReader(trunc)); err != nil {
-			t.Fatalf("scan prefix %d: stdlib decode: %v", n, err)
+		// The coefficient decoder must agree with the pixels on every prefix.
+		if diff := maxPixelDiff(t, got, referenceDecode(t, trunc)); diff > 2 {
+			t.Errorf("scan prefix %d: max pixel difference vs reference = %d", n, diff)
 		}
 		e := meanAbsErr(got, full)
 		if n == len(idx.Scans) && e != 0 {
@@ -550,6 +549,13 @@ func TestDecodeTruncatedStreamReportsError(t *testing.T) {
 	_, err = DecodeCoeffs(data[:len(data)-2]) // strip EOI
 	if err != ErrTruncated {
 		t.Errorf("err = %v, want ErrTruncated", err)
+	}
+	// Every proper prefix, whether it ends between segments or inside the
+	// entropy-coded scan, is a truncated stream.
+	for n := 1; n < len(data); n++ {
+		if _, err := Decode(data[:n]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("Decode of the first %d of %d bytes: err = %v, want ErrTruncated", n, len(data), err)
+		}
 	}
 }
 

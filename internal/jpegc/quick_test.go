@@ -154,6 +154,10 @@ func TestQuickScanPrefixesAlwaysDecode(t *testing.T) {
 				t.Logf("seed %d: prefix %d: %v", seed, n, err)
 				return false
 			}
+			if _, err := Decode(trunc); err != nil {
+				t.Logf("seed %d: prefix %d: pixels: %v", seed, n, err)
+				return false
+			}
 		}
 		return true
 	}

@@ -1,12 +1,45 @@
 package jpegc
 
-import "image"
+import (
+	"image"
+	"testing"
+)
 
-// ToImage reconstructs pixels from quantized coefficients: dequantize, IDCT,
-// level shift, clamp. Color images are returned as *image.YCbCr at the
-// stream's native subsampling (4:4:4 or 4:2:0 — the YCbCr type performs
-// chroma upsampling and RGB conversion in At); grayscale as *image.Gray.
-func ToImage(ci *CoeffImage) image.Image {
+// The float pixel path below is a test reference, not a decoder: Decode
+// takes its pixels from image/jpeg. Rebuilding pixels from DecodeCoeffs
+// with an independent IDCT lets tests cross-check the coefficient decoder
+// that Transcode depends on against the standard library's pixels.
+
+// idct computes the inverse 8×8 DCT in place, undoing fdct.
+func idct(b *[64]float64) {
+	var tmp [64]float64
+	// Columns first.
+	for u := 0; u < 8; u++ {
+		for y := 0; y < 8; y++ {
+			var s float64
+			for v := 0; v < 8; v++ {
+				s += dctScale(v) * b[v*8+u] * cosTable[v][y]
+			}
+			tmp[y*8+u] = s / 2
+		}
+	}
+	// Rows.
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 8; x++ {
+			var s float64
+			for u := 0; u < 8; u++ {
+				s += dctScale(u) * tmp[y*8+u] * cosTable[u][x]
+			}
+			b[y*8+x] = s / 2
+		}
+	}
+}
+
+// referenceImage reconstructs pixels from quantized coefficients:
+// dequantize, IDCT, level shift, clamp. Color images are returned as
+// *image.YCbCr at the stream's native subsampling, grayscale as
+// *image.Gray.
+func referenceImage(ci *CoeffImage) image.Image {
 	planes := make([][]uint8, ci.NumComps)
 	strides := make([]int, ci.NumComps)
 	var fb [64]float64
@@ -68,4 +101,15 @@ func ToImage(ci *CoeffImage) image.Image {
 		copy(img.Cr[y*img.CStride:y*img.CStride+cw], planes[2][y*strides[2]:y*strides[2]+cw])
 	}
 	return img
+}
+
+// referenceDecode decodes data with DecodeCoeffs and rebuilds its pixels
+// with referenceImage.
+func referenceDecode(t *testing.T, data []byte) image.Image {
+	t.Helper()
+	ci, err := DecodeCoeffs(data)
+	if err != nil {
+		t.Fatalf("DecodeCoeffs: %v", err)
+	}
+	return referenceImage(ci)
 }

@@ -59,10 +59,7 @@ func TestStdlibInterop420(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stdlib refused our 4:2:0 stream: %v", err)
 			}
-			ourImg, err := Decode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ourImg := referenceDecode(t, data)
 			if diff := maxPixelDiff(t, stdImg, ourImg); diff > 2 {
 				t.Errorf("max pixel difference vs stdlib = %d", diff)
 			}
@@ -70,19 +67,17 @@ func TestStdlibInterop420(t *testing.T) {
 	}
 }
 
-// TestDecodeStdlibEncoded verifies we can read JPEG produced by the
-// standard library, which always writes 4:2:0 for color at default
-// quality — i.e. the codec handles real-world input, not just its own.
+// TestDecodeStdlibEncoded verifies the coefficient decoder reads JPEG
+// produced by the standard library, which always writes 4:2:0 for color at
+// default quality — i.e. Transcode handles real-world input, not just its
+// own.
 func TestDecodeStdlibEncoded(t *testing.T) {
 	img := testImage(70, 54, 33)
 	var buf bytes.Buffer
 	if err := stdjpeg.Encode(&buf, img, &stdjpeg.Options{Quality: 85}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(buf.Bytes())
-	if err != nil {
-		t.Fatalf("decoding stdlib-encoded JPEG: %v", err)
-	}
+	got := referenceDecode(t, buf.Bytes())
 	ref, err := stdjpeg.Decode(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +125,8 @@ func TestTranscodeStdlibTo420Progressive(t *testing.T) {
 		if _, err := Decode(trunc); err != nil {
 			t.Fatalf("prefix %d: %v", n, err)
 		}
-		if _, err := stdjpeg.Decode(bytes.NewReader(trunc)); err != nil {
-			t.Fatalf("prefix %d: stdlib: %v", n, err)
+		if _, err := DecodeCoeffs(trunc); err != nil {
+			t.Fatalf("prefix %d: coefficients: %v", n, err)
 		}
 	}
 }

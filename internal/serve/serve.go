@@ -602,8 +602,17 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodHead {
 		return
 	}
-	n, _ := w.Write(data)
-	s.bytesServed.Add(int64(n))
+	s.writeBody(w, data)
+}
+
+// writeBody writes a response body, counting it in BytesServed before the
+// write so that a client holding the response never sees a Stats that
+// misses it. A short write takes back the bytes that were not written.
+func (s *Server) writeBody(w http.ResponseWriter, body []byte) {
+	s.bytesServed.Add(int64(len(body)))
+	if n, _ := w.Write(body); n < len(body) {
+		s.bytesServed.Add(int64(n - len(body)))
+	}
 }
 
 // readRange produces [start, start+length) of record rec, through the hot
