@@ -3,8 +3,11 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"image"
 	"io"
 	"math/rand"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/cache"
@@ -18,6 +21,7 @@ import (
 	"repro/internal/recordio"
 	"repro/internal/synth"
 	"repro/internal/train"
+	"repro/pcr"
 )
 
 // benchConfig builds a small-scale experiment config writing to io.Discard.
@@ -74,7 +78,8 @@ func BenchmarkSec5CachePressure(b *testing.B)       { benchExperiment(b, "cachep
 
 // --- Codec kernels (the §A.5 microbenchmark substance) ----------------------
 
-func benchImages(b *testing.B, n int) [][]byte {
+// benchPixels returns n 64×64 synthetic cars images.
+func benchPixels(b *testing.B, n int) []image.Image {
 	b.Helper()
 	p := synth.Cars
 	p.NumImages = 2 * n // 80/20 split: ensure at least n train images
@@ -86,9 +91,18 @@ func benchImages(b *testing.B, n int) [][]byte {
 	if len(ds.Train) < n {
 		b.Fatalf("only %d train images", len(ds.Train))
 	}
+	out := make([]image.Image, n)
+	for i, s := range ds.Train[:n] {
+		out[i] = s.Img
+	}
+	return out
+}
+
+func benchImages(b *testing.B, n int) [][]byte {
+	b.Helper()
 	var out [][]byte
-	for _, s := range ds.Train[:n] {
-		data, err := jpegc.Encode(s.Img, &jpegc.Options{Quality: 84})
+	for _, img := range benchPixels(b, n) {
+		data, err := jpegc.Encode(img, &jpegc.Options{Quality: 84})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,6 +181,62 @@ func BenchmarkTranscodeToProgressive(b *testing.B) {
 			if _, err := jpegc.Transcode(d, &jpegc.Options{Progressive: true}); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkEncode times the write path's codec stages per image: Analyze
+// (color conversion, DCT, quantization) alone, then a whole Encode to
+// baseline (what TFRecord and FilePerImage store) and to progressive (what
+// a PCR stores), both with the 4:2:0 sampling pcr.Writer uses.
+func BenchmarkEncode(b *testing.B) {
+	imgs := benchPixels(b, 8)
+	for _, bc := range []struct {
+		name string
+		opts *jpegc.Options
+	}{
+		{"analyze", nil},
+		{"baseline", &jpegc.Options{Quality: 84, Subsample420: true}},
+		{"progressive", &jpegc.Options{Quality: 84, Subsample420: true, Progressive: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, img := range imgs {
+					var err error
+					if bc.opts == nil {
+						_, err = jpegc.Analyze(img, &jpegc.Options{Quality: 84, Subsample420: true})
+					} else {
+						_, err = jpegc.Encode(img, bc.opts)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPCRIngest writes one 32-image record of 64×64 pixels through
+// pcr.Writer: encode, record layout, and the dataset's files on disk.
+func BenchmarkPCRIngest(b *testing.B) {
+	imgs := benchPixels(b, 32)
+	root := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := pcr.Create(filepath.Join(root, strconv.Itoa(i)), pcr.WithImagesPerRecord(len(imgs)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k, img := range imgs {
+			if err := w.Append(pcr.Sample{ID: int64(k), Label: int64(k % 4), Image: img}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

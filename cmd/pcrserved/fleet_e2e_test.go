@@ -118,8 +118,12 @@ func TestFleetKillOneServerMidScan(t *testing.T) {
 		return v.BytesServed
 	}
 
-	// Pick a victim that owns at least one record, so the kill provably
-	// forces failover (a tiny dataset can leave a member ownerless).
+	// The victim dies a third of the way into the first scan. It is the
+	// owner of the last record, which the scan reads after the kill, so
+	// the kill provably forces failover. (Placement follows the random
+	// ports: a member owning only records read before the kill would
+	// not.)
+	killAt := n / 3
 	sc, err := serve.NewClient(urls[0], nil)
 	if err != nil {
 		t.Fatal(err)
@@ -132,20 +136,18 @@ func TestFleetKillOneServerMidScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	last := ix.Records[len(ix.Records)-1]
+	if n-last.Samples < killAt {
+		t.Fatalf("last record starts at sample %d, before the kill at %d", n-last.Samples, killAt)
+	}
 	victim := -1
 	for i, u := range urls {
-		for _, re := range ix.Records {
-			if ring.Owner(re.Name) == u {
-				victim = i
-				break
-			}
-		}
-		if victim >= 0 {
-			break
+		if u == ring.Owner(last.Name) {
+			victim = i
 		}
 	}
 	if victim < 0 {
-		t.Fatal("no member owns any record")
+		t.Fatal("no member owns the last record")
 	}
 	var survivors []string
 	for i, u := range urls {
@@ -175,7 +177,6 @@ func TestFleetKillOneServerMidScan(t *testing.T) {
 	scan := func(q int) {
 		t.Helper()
 		seen := make(map[int64]int, n)
-		killAt := n / 3
 		for s, err := range ds.ScanEncoded(context.Background(), q) {
 			if err != nil {
 				t.Fatalf("scan at quality %d: %v", q, err)

@@ -24,18 +24,18 @@ type Fetcher func(record int, offset, length int64) ([]byte, error)
 // Stats counts cache activity.
 type Stats struct {
 	// Hits are requests fully served from cache.
-	Hits int64
+	Hits int64 `json:"hits"`
 	// UpgradeHits are requests served by a delta read: the cached prefix
 	// plus only the missing bytes.
-	UpgradeHits int64
+	UpgradeHits int64 `json:"upgrade_hits"`
 	// Misses are requests with no usable cached prefix.
-	Misses int64
+	Misses int64 `json:"misses"`
 	// BytesFetched counts bytes read from backing storage.
-	BytesFetched int64
+	BytesFetched int64 `json:"bytes_fetched"`
 	// BytesServed counts bytes returned to callers.
-	BytesServed int64
+	BytesServed int64 `json:"bytes_served"`
 	// Evictions counts evicted entries.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 }
 
 type entry struct {

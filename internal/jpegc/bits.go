@@ -7,37 +7,53 @@ import "bytes"
 // distinguish entropy-coded data from markers.
 type bitWriter struct {
 	buf  *bytes.Buffer
-	acc  uint32 // pending bits, left-aligned within nbits
-	nbit uint   // number of pending bits in acc
+	acc  uint64 // pending bits, right-aligned: the low nbit bits
+	nbit uint   // number of pending bits in acc, always < 32 between calls
 }
 
 func newBitWriter(buf *bytes.Buffer) *bitWriter {
 	return &bitWriter{buf: buf}
 }
 
-// writeBits appends the low n bits of v, most significant first. n may be 0.
+// writeBits appends the low n bits of v, most significant first. n may be
+// 0 and at most 32.
 func (w *bitWriter) writeBits(v uint32, n uint) {
-	if n == 0 {
+	w.acc = w.acc<<n | uint64(v)&(1<<n-1)
+	w.nbit += n
+	if w.nbit < 32 {
 		return
 	}
-	w.acc = (w.acc << n) | (v & ((1 << n) - 1))
-	w.nbit += n
-	for w.nbit >= 8 {
-		b := byte(w.acc >> (w.nbit - 8))
-		w.buf.WriteByte(b)
-		if b == 0xFF {
-			w.buf.WriteByte(0x00)
-		}
-		w.nbit -= 8
+	// Emit the oldest 32 pending bits, four bytes at a time unless one of
+	// them is 0xFF and needs a stuff byte.
+	w.nbit -= 32
+	x := uint32(w.acc >> w.nbit)
+	if y := ^x; (y-0x01010101)&^y&0x80808080 == 0 {
+		w.buf.Write([]byte{byte(x >> 24), byte(x >> 16), byte(x >> 8), byte(x)})
+		return
+	}
+	for shift := 24; shift >= 0; shift -= 8 {
+		w.writeByte(byte(x >> shift))
 	}
 }
 
-// flush pads the final partial byte with 1 bits (the JPEG convention) and
-// emits it.
+// writeByte emits one byte of entropy-coded data, stuffed.
+func (w *bitWriter) writeByte(b byte) {
+	w.buf.WriteByte(b)
+	if b == 0xFF {
+		w.buf.WriteByte(0x00)
+	}
+}
+
+// flush emits the pending bits, padding the final partial byte with 1 bits
+// (the JPEG convention).
 func (w *bitWriter) flush() {
-	if w.nbit > 0 {
-		pad := 8 - w.nbit
-		w.writeBits((1<<pad)-1, pad)
+	if pad := (8 - w.nbit%8) % 8; pad > 0 {
+		w.acc = w.acc<<pad | (1<<pad - 1)
+		w.nbit += pad
+	}
+	for w.nbit > 0 {
+		w.nbit -= 8
+		w.writeByte(byte(w.acc >> w.nbit))
 	}
 }
 
@@ -95,36 +111,50 @@ func (r *bitReader) readBits(n uint) uint32 {
 // overrun reports whether the reader was asked for bits beyond the payload.
 func (r *bitReader) overrun() bool { return r.eof }
 
+// entropyLen returns the length of the entropy-coded segment data starts
+// with: the bytes up to (not including) the next marker, which is 0xFF
+// followed by neither a 0x00 stuff byte nor another 0xFF fill byte. A
+// trailing 0xFF with nothing after it ends the segment too.
+func entropyLen(data []byte) int {
+	i := 0
+	for {
+		j := bytes.IndexByte(data[i:], 0xFF)
+		if j < 0 {
+			return len(data)
+		}
+		i += j
+		if i+1 >= len(data) {
+			return i
+		}
+		switch data[i+1] {
+		case 0x00:
+			i += 2
+		case 0xFF:
+			i++ // fill byte; re-examine the next one
+		default:
+			return i
+		}
+	}
+}
+
 // destuff removes 0x00 stuff bytes that follow 0xFF in entropy-coded data.
 // It stops at a marker (0xFF followed by a non-zero byte) and returns the
 // de-stuffed payload plus the number of input bytes consumed up to (not
 // including) the marker.
 func destuff(data []byte) (payload []byte, consumed int) {
-	out := make([]byte, 0, len(data))
-	i := 0
-	for i < len(data) {
+	n := entropyLen(data)
+	out := make([]byte, 0, n)
+	for i := 0; i < n; i++ {
 		b := data[i]
-		if b != 0xFF {
-			out = append(out, b)
+		if b == 0xFF {
+			// Within the segment every 0xFF is followed by a stuff byte
+			// or by another 0xFF, making this one a fill byte.
+			if data[i+1] == 0xFF {
+				continue
+			}
 			i++
-			continue
 		}
-		if i+1 >= len(data) {
-			// Trailing 0xFF with nothing after it: treat as data end.
-			return out, i
-		}
-		next := data[i+1]
-		switch {
-		case next == 0x00:
-			out = append(out, 0xFF)
-			i += 2
-		case next == 0xFF:
-			// Fill byte; skip one 0xFF and re-examine.
-			i++
-		default:
-			// A real marker terminates the entropy-coded segment.
-			return out, i
-		}
+		out = append(out, b)
 	}
-	return out, i
+	return out, n
 }

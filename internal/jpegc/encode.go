@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
+	"math"
 )
 
 // Options control encoding.
@@ -68,18 +69,30 @@ func Analyze(img image.Image, opts *Options) (*CoeffImage, error) {
 	for c := range full {
 		full[c] = make([]uint8, w*h)
 	}
+	// An *image.RGBA's pixels are read straight from Pix: At would box
+	// every pixel, and its RGBA values shifted back to 8 bits are exactly
+	// the stored bytes (alpha is ignored either way).
+	rgba, direct := img.(*image.RGBA)
 	for y := 0; y < h; y++ {
+		var row []uint8
+		if direct {
+			i := rgba.PixOffset(b.Min.X, b.Min.Y+y)
+			row = rgba.Pix[i : i+4*w]
+		}
 		for x := 0; x < w; x++ {
-			r, g, bb, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			r8, g8, b8 := uint8(r>>8), uint8(g>>8), uint8(bb>>8)
-			if gray {
-				yy := color.GrayModel.Convert(color.RGBA{r8, g8, b8, 255}).(color.Gray).Y
-				full[0][y*w+x] = yy
+			var r8, g8, b8 uint8
+			if direct {
+				p := row[4*x : 4*x+3 : 4*x+3]
+				r8, g8, b8 = p[0], p[1], p[2]
 			} else {
-				yy, cb, cr := color.RGBToYCbCr(r8, g8, b8)
-				full[0][y*w+x] = yy
-				full[1][y*w+x] = cb
-				full[2][y*w+x] = cr
+				r, g, bb, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
+				r8, g8, b8 = uint8(r>>8), uint8(g>>8), uint8(bb>>8)
+			}
+			i := y*w + x
+			if gray {
+				full[0][i] = color.GrayModel.Convert(color.RGBA{r8, g8, b8, 255}).(color.Gray).Y
+			} else {
+				full[0][i], full[1][i], full[2][i] = color.RGBToYCbCr(r8, g8, b8)
 			}
 		}
 	}
@@ -96,20 +109,28 @@ func Analyze(img image.Image, opts *Options) (*CoeffImage, error) {
 		pw, ph := bw*8, bh*8
 		plane := make([]uint8, pw*ph)
 		sub := ci.Subsample420 && c > 0
-		for y := 0; y < ph; y++ {
-			sy := min(y, ch-1)
-			for x := 0; x < pw; x++ {
-				sx := min(x, cw-1)
-				if !sub {
-					plane[y*pw+x] = full[c][sy*w+sx]
-					continue
+		src := full[c]
+		for y := 0; y < ch; y++ {
+			row := plane[y*pw : (y+1)*pw]
+			if sub {
+				y0 := 2 * y
+				y1 := min(y0+1, h-1)
+				r0, r1 := src[y0*w:(y0+1)*w], src[y1*w:(y1+1)*w]
+				for x := range cw {
+					x0 := 2 * x
+					x1 := min(x0+1, w-1)
+					sum := int(r0[x0]) + int(r0[x1]) + int(r1[x0]) + int(r1[x1])
+					row[x] = uint8((sum + 2) / 4)
 				}
-				x0, y0 := 2*sx, 2*sy
-				x1, y1 := min(x0+1, w-1), min(y0+1, h-1)
-				sum := int(full[c][y0*w+x0]) + int(full[c][y0*w+x1]) +
-					int(full[c][y1*w+x0]) + int(full[c][y1*w+x1])
-				plane[y*pw+x] = uint8((sum + 2) / 4)
+			} else {
+				copy(row, src[y*w:y*w+cw])
 			}
+			for x := cw; x < pw; x++ {
+				row[x] = row[cw-1]
+			}
+		}
+		for y := ch; y < ph; y++ {
+			copy(plane[y*pw:(y+1)*pw], plane[(ch-1)*pw:ch*pw])
 		}
 
 		ci.Blocks[c] = make([]Block, bw*bh)
@@ -117,26 +138,29 @@ func Analyze(img image.Image, opts *Options) (*CoeffImage, error) {
 		for by := 0; by < bh; by++ {
 			for bx := 0; bx < bw; bx++ {
 				for y := 0; y < 8; y++ {
-					for x := 0; x < 8; x++ {
-						fb[y*8+x] = float64(plane[(by*8+y)*pw+bx*8+x]) - 128
+					px := plane[(by*8+y)*pw+bx*8:][:8]
+					for x, p := range px {
+						fb[y*8+x] = float64(p) - 128
 					}
 				}
 				fdct(&fb)
 				blk := &ci.Blocks[c][by*bw+bx]
 				for k := 0; k < 64; k++ {
-					q := float64(quant[k])
-					v := fb[k] / q
-					// Round to nearest, ties away from zero.
-					if v >= 0 {
-						blk[k] = int32(v + 0.5)
-					} else {
-						blk[k] = int32(v - 0.5)
-					}
+					blk[k] = quantize(fb[k], quant[k])
 				}
 			}
 		}
 	}
 	return ci, nil
+}
+
+// quantize divides a DCT coefficient by its quantizer step and rounds to
+// nearest, ties away from zero, without a branch: it truncates v+0.5 for
+// v >= 0 and v-0.5 below, so the float addition rounds near-ties exactly
+// as the branching form does.
+func quantize(coef float64, step uint16) int32 {
+	v := coef / float64(step)
+	return int32(v + math.Copysign(0.5, v))
 }
 
 // Encode compresses img with the given options and returns the JPEG stream.
@@ -157,6 +181,7 @@ func EncodeCoeffs(ci *CoeffImage, opts *Options) ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	writeHeaders(&buf, ci, opts)
+	e := encoder{ci: ci}
 	if opts != nil && opts.Progressive {
 		script := opts.ScanScript
 		if script == nil {
@@ -165,15 +190,14 @@ func EncodeCoeffs(ci *CoeffImage, opts *Options) ([]byte, error) {
 		if err := validateScript(script, ci.NumComps); err != nil {
 			return nil, err
 		}
-		enc := newProgEncoder(ci)
 		for _, scan := range script {
-			if err := enc.writeScan(&buf, scan); err != nil {
+			if err := e.writeProgressiveScan(&buf, scan); err != nil {
 				return nil, err
 			}
 		}
 	} else {
 		optimize := opts != nil && opts.OptimizeHuffman
-		if err := writeBaselineScan(&buf, ci, optimize); err != nil {
+		if err := e.writeBaselineScan(&buf, optimize); err != nil {
 			return nil, err
 		}
 	}
@@ -253,37 +277,137 @@ func writeDHT(buf *bytes.Buffer, entries []dhtEntry) {
 	writeSegment(buf, mDHT, payload)
 }
 
-// writeSOS emits the scan header for the given scan spec.
-func writeSOS(buf *bytes.Buffer, ci *CoeffImage, scan ScanSpec, dcTable, acTable func(comp int) byte) {
+// writeSOS emits the scan header for the given scan spec. A component's
+// DC (AC) table id is its tableSlot when dc (ac) is set, and 0 otherwise.
+func writeSOS(buf *bytes.Buffer, scan ScanSpec, dc, ac bool) {
 	ids := [3]byte{compY, compCb, compCr}
-	payload := []byte{byte(len(scan.Comps))}
+	payload := make([]byte, 0, 4+2*len(scan.Comps))
+	payload = append(payload, byte(len(scan.Comps)))
 	for _, c := range scan.Comps {
-		payload = append(payload, ids[c], dcTable(c)<<4|acTable(c))
+		var tables byte
+		if dc {
+			tables |= byte(tableSlot(c)) << 4
+		}
+		if ac {
+			tables |= byte(tableSlot(c))
+		}
+		payload = append(payload, ids[c], tables)
 	}
 	payload = append(payload, byte(scan.Ss), byte(scan.Se), byte(scan.Ah<<4|scan.Al))
 	writeSegment(buf, mSOS, payload)
 }
 
+// --- Scan coding -----------------------------------------------------------
+
+// Huffman table indices of a token: the DC and AC tables of the luma (slot
+// 0) and chroma (slot 1) components.
+const (
+	dcTable = 0 // + tableSlot(comp)
+	acTable = 2 // + tableSlot(comp)
+)
+
+// tableSlot maps a component to its Huffman table slot: luma uses slot 0,
+// chroma slot 1.
+func tableSlot(comp int) int {
+	if comp > 0 {
+		return 1
+	}
+	return 0
+}
+
+// A token is one entropy-coding event of a scan: a Huffman symbol through
+// one of the four tables followed by up to 16 raw bits, or raw bits alone.
+// Bits 0-15 hold the raw bits, 16-20 their count, 21-28 the symbol, 29-30
+// the table, and bit 31 marks a symbol.
+type token uint32
+
+const tokSymbol token = 1 << 31
+
+// encoder entropy-codes one coefficient image. Each scan is walked once:
+// the walk counts every Huffman symbol and records it, with the raw bits
+// that follow it, as a token. The scan's optimal tables are then built from
+// the counts and the tokens emitted. The buffers are reused across scans.
+type encoder struct {
+	ci    *CoeffImage
+	freq  [4]freqCounter // symbol counts per table
+	huff  [4]huffEncoder // codes per table
+	toks  []token
+	order []mcuBlock
+	// nonzero caches nonzeroMasks per component.
+	nonzero [3][]uint64
+	// eobrun is a progressive AC scan's pending end-of-band run, and carry
+	// the refinement correction bits that follow its symbol. Each AC walk
+	// ends by flushing both.
+	eobrun int
+	carry  []byte
+}
+
+// begin resets the per-scan state.
+func (e *encoder) begin() {
+	e.freq = [4]freqCounter{}
+	e.toks = e.toks[:0]
+}
+
+// symbol records Huffman symbol sym through table tab, followed by the low
+// n bits of v.
+func (e *encoder) symbol(tab int, sym byte, v uint32, n uint) {
+	e.freq[tab].count(sym)
+	e.toks = append(e.toks, tokSymbol|token(tab)<<29|token(sym)<<21|token(n)<<16|token(v))
+}
+
+// rawBits records raw bits, one per entry of bs, 16 to a token.
+func (e *encoder) rawBits(bs []byte) {
+	for len(bs) > 0 {
+		n := min(len(bs), 16)
+		var v token
+		for _, b := range bs[:n] {
+			v = v<<1 | token(b)
+		}
+		e.toks = append(e.toks, token(n)<<16|v)
+		bs = bs[n:]
+	}
+}
+
+// setTable makes spec the code of table tab and appends its DHT entry,
+// under DHT class class, to dht.
+func (e *encoder) setTable(dht []dhtEntry, class, tab int, spec *huffSpec) ([]dhtEntry, error) {
+	if err := e.huff[tab].build(spec); err != nil {
+		return nil, err
+	}
+	return append(dht, dhtEntry{byte(class), byte(tab % 2), spec}), nil
+}
+
+// emit writes the recorded tokens as entropy-coded data.
+func (e *encoder) emit(buf *bytes.Buffer) {
+	w := newBitWriter(buf)
+	for _, tk := range e.toks {
+		v, n := uint32(tk&0xFFFF), uint(tk>>16&0x1F)
+		if tk&tokSymbol != 0 {
+			e.huff[tk>>29&3].emit(w, byte(tk>>21), v, n)
+		} else {
+			w.writeBits(v, n)
+		}
+	}
+	w.flush()
+}
+
 // --- Baseline scan ---------------------------------------------------------
 
-// baselineWalk walks the blocks of a full baseline scan in interleaved MCU
-// order, invoking emit for every Huffman symbol. Used both for frequency
-// counting (optimization) and actual emission. MCU padding blocks (4:2:0
-// edges) re-emit the clamped edge block, keeping the DC prediction chain
-// consistent with the decoder.
-func baselineWalk(ci *CoeffImage, emit func(comp int, dc bool, sym byte, bits uint32, nbits uint)) {
-	comps := make([]int, ci.NumComps)
-	for c := range comps {
-		comps[c] = c
-	}
-	prevDC := [3]int32{}
-	ci.forEachMCUBlock(comps, func(c, idx int, pad bool) {
-		blk := &ci.Blocks[c][idx]
+// walkBaseline records a full baseline scan in interleaved MCU order. MCU
+// padding blocks (4:2:0 edges) re-emit the clamped edge block, keeping the
+// DC prediction chain consistent with the decoder.
+func (e *encoder) walkBaseline(comps []int) {
+	var prevDC [3]int32
+	e.order = e.ci.appendMCUOrder(e.order[:0], comps)
+	for _, b := range e.order {
+		c := int(b.comp)
+		t := tableSlot(c)
+		blk := &e.ci.Blocks[c][b.idx]
 		// DC
 		diff := blk[0] - prevDC[c]
 		prevDC[c] = blk[0]
 		size, bits := magnitude(diff)
-		emit(c, true, byte(size), bits, size)
+		e.symbol(dcTable+t, byte(size), bits, size)
 		// AC with run-length coding
 		run := 0
 		for zz := 1; zz < 64; zz++ {
@@ -293,90 +417,47 @@ func baselineWalk(ci *CoeffImage, emit func(comp int, dc bool, sym byte, bits ui
 				continue
 			}
 			for run > 15 {
-				emit(c, false, 0xF0, 0, 0) // ZRL
+				e.symbol(acTable+t, 0xF0, 0, 0) // ZRL
 				run -= 16
 			}
 			size, bits := magnitude(v)
-			emit(c, false, byte(run<<4)|byte(size), bits, size)
+			e.symbol(acTable+t, byte(run<<4)|byte(size), bits, size)
 			run = 0
 		}
 		if run > 0 {
-			emit(c, false, 0x00, 0, 0) // EOB
+			e.symbol(acTable+t, 0x00, 0, 0) // EOB
 		}
-	})
+	}
 }
 
-func writeBaselineScan(buf *bytes.Buffer, ci *CoeffImage, optimize bool) error {
-	var dcSpec, acSpec [2]*huffSpec
-	if optimize {
-		var dcFreq, acFreq [2]freqCounter
-		baselineWalk(ci, func(comp int, dc bool, sym byte, _ uint32, _ uint) {
-			t := 0
-			if comp > 0 {
-				t = 1
-			}
-			if dc {
-				dcFreq[t].count(sym)
-			} else {
-				acFreq[t].count(sym)
-			}
-		})
-		dcSpec[0] = dcFreq[0].buildOptimal()
-		acSpec[0] = acFreq[0].buildOptimal()
-		if ci.NumComps == 3 {
-			dcSpec[1] = dcFreq[1].buildOptimal()
-			acSpec[1] = acFreq[1].buildOptimal()
-		}
-	} else {
-		dcSpec[0], acSpec[0] = &stdDCLuma, &stdACLuma
-		dcSpec[1], acSpec[1] = &stdDCChroma, &stdACChroma
-	}
-
-	entries := []dhtEntry{{0, 0, dcSpec[0]}, {1, 0, acSpec[0]}}
-	if ci.NumComps == 3 {
-		entries = append(entries, dhtEntry{0, 1, dcSpec[1]}, dhtEntry{1, 1, acSpec[1]})
-	}
-	writeDHT(buf, entries)
-
-	var dcEnc, acEnc [2]*huffEncoder
-	var err error
-	for t := 0; t < 2; t++ {
-		if dcSpec[t] == nil {
-			continue
-		}
-		if dcEnc[t], err = buildEncoder(dcSpec[t]); err != nil {
-			return err
-		}
-		if acEnc[t], err = buildEncoder(acSpec[t]); err != nil {
-			return err
-		}
-	}
-
+func (e *encoder) writeBaselineScan(buf *bytes.Buffer, optimize bool) error {
+	ci := e.ci
 	comps := make([]int, ci.NumComps)
 	for c := range comps {
 		comps[c] = c
 	}
-	tbl := func(c int) byte {
-		if c > 0 {
-			return 1
-		}
-		return 0
-	}
-	writeSOS(buf, ci, ScanSpec{Comps: comps, Ss: 0, Se: 63}, tbl, tbl)
+	e.begin()
+	e.walkBaseline(comps)
 
-	w := newBitWriter(buf)
-	baselineWalk(ci, func(comp int, dc bool, sym byte, bits uint32, nbits uint) {
-		t := 0
-		if comp > 0 {
-			t = 1
+	var dht []dhtEntry
+	var err error
+	for t := range min(ci.NumComps, 2) {
+		dc, ac := &stdDCLuma, &stdACLuma
+		if t > 0 {
+			dc, ac = &stdDCChroma, &stdACChroma
 		}
-		if dc {
-			dcEnc[t].emit(w, sym)
-		} else {
-			acEnc[t].emit(w, sym)
+		if optimize {
+			dc, ac = e.freq[dcTable+t].buildOptimal(), e.freq[acTable+t].buildOptimal()
 		}
-		w.writeBits(bits, nbits)
-	})
-	w.flush()
+		if dht, err = e.setTable(dht, 0, dcTable+t, dc); err != nil {
+			return err
+		}
+		if dht, err = e.setTable(dht, 1, acTable+t, ac); err != nil {
+			return err
+		}
+	}
+	writeDHT(buf, dht)
+	writeSOS(buf, ScanSpec{Comps: comps, Ss: 0, Se: 63}, true, true)
+	e.emit(buf)
 	return nil
 }

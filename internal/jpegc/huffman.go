@@ -16,20 +16,21 @@ type huffEncoder struct {
 	size [256]uint8 // 0 means the symbol has no code
 }
 
-// buildEncoder assigns canonical codes (T.81 Annex C) to the spec's symbols.
-func buildEncoder(spec *huffSpec) (*huffEncoder, error) {
-	enc := &huffEncoder{}
+// build assigns canonical codes (T.81 Annex C) to the spec's symbols,
+// replacing whatever table enc held.
+func (enc *huffEncoder) build(spec *huffSpec) error {
+	*enc = huffEncoder{}
 	code := uint32(0)
 	k := 0
 	for l := 1; l <= 16; l++ {
 		n := int(spec.bits[l-1])
 		for i := 0; i < n; i++ {
 			if k >= len(spec.vals) {
-				return nil, fmt.Errorf("jpegc: huffman spec has %d codes but %d symbols", k+1, len(spec.vals))
+				return fmt.Errorf("jpegc: huffman spec has %d codes but %d symbols", k+1, len(spec.vals))
 			}
 			sym := spec.vals[k]
 			if enc.size[sym] != 0 {
-				return nil, fmt.Errorf("jpegc: duplicate huffman symbol %#x", sym)
+				return fmt.Errorf("jpegc: duplicate huffman symbol %#x", sym)
 			}
 			enc.code[sym] = code
 			enc.size[sym] = uint8(l)
@@ -39,20 +40,21 @@ func buildEncoder(spec *huffSpec) (*huffEncoder, error) {
 		code <<= 1
 	}
 	if k != len(spec.vals) {
-		return nil, fmt.Errorf("jpegc: huffman spec has %d codes but %d symbols", k, len(spec.vals))
+		return fmt.Errorf("jpegc: huffman spec has %d codes but %d symbols", k, len(spec.vals))
 	}
-	return enc, nil
+	return nil
 }
 
-// emit writes the code for sym to w. Panics if the symbol has no code — the
-// encoder only emits symbols whose frequencies it counted, so a missing code
-// is an internal invariant violation, not an input error.
-func (e *huffEncoder) emit(w *bitWriter, sym byte) {
+// emit writes the code for sym to w, followed by the low n ≤ 16 bits of v.
+// Panics if the symbol has no code — the encoder only emits symbols whose
+// frequencies it counted, so a missing code is an internal invariant
+// violation, not an input error.
+func (e *huffEncoder) emit(w *bitWriter, sym byte, v uint32, n uint) {
 	sz := e.size[sym]
 	if sz == 0 {
 		panic(fmt.Sprintf("jpegc: no huffman code for symbol %#x", sym))
 	}
-	w.writeBits(e.code[sym], uint(sz))
+	w.writeBits(e.code[sym]<<n|v, uint(sz)+n)
 }
 
 // huffDecoder implements the canonical MINCODE/MAXCODE/VALPTR decoding
@@ -124,33 +126,33 @@ func (f *freqCounter) buildOptimal() *huffSpec {
 
 	var codesize [257]int
 	var others [257]int
+	// live lists the symbols whose frequency is still nonzero, in
+	// increasing order; merging removes c2 from it.
+	var liveBuf [257]uint16
+	live := liveBuf[:0]
 	for i := range others {
 		others[i] = -1
+		if freq[i] != 0 {
+			live = append(live, uint16(i))
+		}
 	}
 
-	for {
-		// Find the two least-frequent nonzero entries (c1 lowest, c2 next;
-		// ties broken toward larger symbol value for c1 per libjpeg).
-		c1, c2 := -1, -1
-		v := int64(1) << 62
-		for i := 0; i <= 256; i++ {
-			if freq[i] != 0 && freq[i] <= v {
-				v = freq[i]
-				c1 = i
+	for len(live) > 1 {
+		// Find the two least-frequent entries (c1 lowest, c2 next; ties
+		// broken toward larger symbol value per libjpeg). One ascending
+		// pass suffices: a new minimum demotes the old one to c2.
+		c1, at1, c2, at2 := -1, -1, -1, -1
+		v1, v2 := int64(1)<<62, int64(1)<<62
+		for k, sym := range live {
+			if fi := freq[sym]; fi <= v1 {
+				c2, at2, v2 = c1, at1, v1
+				c1, at1, v1 = int(sym), k, fi
+			} else if fi <= v2 {
+				c2, at2, v2 = int(sym), k, fi
 			}
-		}
-		v = int64(1) << 62
-		for i := 0; i <= 256; i++ {
-			if freq[i] != 0 && freq[i] <= v && i != c1 {
-				v = freq[i]
-				c2 = i
-			}
-		}
-		if c2 < 0 {
-			break // only one entry left: done
 		}
 		freq[c1] += freq[c2]
-		freq[c2] = 0
+		live = append(live[:at2], live[at2+1:]...)
 		codesize[c1]++
 		for others[c1] >= 0 {
 			c1 = others[c1]
@@ -201,12 +203,24 @@ func (f *freqCounter) buildOptimal() *huffSpec {
 	for i := 1; i <= 16; i++ {
 		spec.bits[i-1] = byte(bits[i])
 	}
-	// List symbols in increasing code-length order, breaking ties by value.
-	for size := 1; size <= 32; size++ {
-		for sym := 0; sym <= 255; sym++ {
-			if codesize[sym] == size {
-				spec.vals = append(spec.vals, byte(sym))
-			}
+	// List symbols in increasing code-length order, breaking ties by value:
+	// a counting sort on code length, stable in symbol order.
+	var next [33]int
+	for _, size := range codesize[:256] {
+		if size > 0 {
+			next[size]++
+		}
+	}
+	n := 0
+	for size, k := range next {
+		next[size] = n
+		n += k
+	}
+	spec.vals = make([]byte, n)
+	for sym, size := range codesize[:256] {
+		if size > 0 {
+			spec.vals[next[size]] = byte(sym)
+			next[size]++
 		}
 	}
 	return spec

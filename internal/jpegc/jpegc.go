@@ -5,9 +5,12 @@
 //
 // The Go standard library can decode progressive JPEG but cannot encode it,
 // and it exposes neither scan boundaries nor DCT coefficients. Progressive
-// Compressed Records need all three: the PCR encoder plays the role of
-// jpegtran (lossless baseline→progressive transform) followed by a marker
-// scan that locates the byte ranges of each scan.
+// Compressed Records need all three. Pixels are encoded straight to
+// progressive, one entropy coding of each image's coefficients, and the
+// result is byte for byte what transcoding their baseline encoding gives.
+// For inputs that arrive as JPEG, Transcode plays the role of jpegtran
+// (lossless baseline→progressive transform). A marker scan then locates
+// the byte ranges of each scan.
 //
 // Pixels are the standard library's job: Decode hands the stream to
 // image/jpeg, which decodes every scan prefix a PCR produces, and jpegc
@@ -105,13 +108,21 @@ func (ci *CoeffImage) mcuDims() (mw, mh int) {
 	return ci.BlocksWide(), ci.BlocksHigh()
 }
 
-// forEachMCUBlock visits every block of every listed component in
+// mcuBlock names one block of a scan in coding order: block idx of
+// component comp, with pad marking MCU padding.
+type mcuBlock struct {
+	idx  int32
+	comp uint8
+	pad  bool
+}
+
+// appendMCUOrder appends to dst every block of every listed component in
 // interleaved MCU order (the T.81 A.2.3 ordering). Components with 2×2
 // sampling contribute four blocks per MCU. Blocks beyond a component's real
 // grid (MCU padding at the right/bottom edges) are reported with pad=true
 // and the clamped index of the nearest real block — encoders emit that
 // block's data again, decoders discard the decoded values.
-func (ci *CoeffImage) forEachMCUBlock(comps []int, fn func(comp, idx int, pad bool)) {
+func (ci *CoeffImage) appendMCUOrder(dst []mcuBlock, comps []int) []mcuBlock {
 	if len(comps) == 1 {
 		// A single-component scan is non-interleaved by definition
 		// (T.81 A.2): it rasters the component's own block grid with no
@@ -119,9 +130,9 @@ func (ci *CoeffImage) forEachMCUBlock(comps []int, fn func(comp, idx int, pad bo
 		c := comps[0]
 		n := ci.CompBlocksWide(c) * ci.CompBlocksHigh(c)
 		for i := 0; i < n; i++ {
-			fn(c, i, false)
+			dst = append(dst, mcuBlock{idx: int32(i), comp: uint8(c)})
 		}
-		return
+		return dst
 	}
 	mw, mh := ci.mcuDims()
 	for my := 0; my < mh; my++ {
@@ -139,11 +150,19 @@ func (ci *CoeffImage) forEachMCUBlock(comps []int, fn func(comp, idx int, pad bo
 						if col >= bw {
 							col = bw - 1
 						}
-						fn(c, row*bw+col, pad)
+						dst = append(dst, mcuBlock{idx: int32(row*bw + col), comp: uint8(c), pad: pad})
 					}
 				}
 			}
 		}
+	}
+	return dst
+}
+
+// forEachMCUBlock calls fn for every block appendMCUOrder lists.
+func (ci *CoeffImage) forEachMCUBlock(comps []int, fn func(comp, idx int, pad bool)) {
+	for _, b := range ci.appendMCUOrder(nil, comps) {
+		fn(int(b.comp), int(b.idx), b.pad)
 	}
 }
 

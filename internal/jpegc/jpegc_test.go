@@ -144,7 +144,8 @@ func TestDestuffStopsAtMarker(t *testing.T) {
 
 func TestHuffmanEncodeDecodeRoundTrip(t *testing.T) {
 	for _, spec := range []*huffSpec{&stdDCLuma, &stdDCChroma, &stdACLuma, &stdACChroma} {
-		enc, err := buildEncoder(spec)
+		var enc huffEncoder
+		err := enc.build(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestHuffmanEncodeDecodeRoundTrip(t *testing.T) {
 		var buf bytes.Buffer
 		w := newBitWriter(&buf)
 		for _, sym := range spec.vals {
-			enc.emit(w, sym)
+			enc.emit(w, sym, 0, 0)
 		}
 		w.flush()
 		payload, _ := destuff(buf.Bytes())
@@ -184,7 +185,8 @@ func TestHuffmanOptimizerValidAndComplete(t *testing.T) {
 			seen[s] = true
 		}
 		spec := f.buildOptimal()
-		enc, err := buildEncoder(spec)
+		var enc huffEncoder
+		err := enc.build(spec)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -211,7 +213,7 @@ func TestHuffmanOptimizerValidAndComplete(t *testing.T) {
 		w := newBitWriter(&buf)
 		var emitted []byte
 		for s := range seen {
-			enc.emit(w, s)
+			enc.emit(w, s, 0, 0)
 			emitted = append(emitted, s)
 		}
 		w.flush()
@@ -230,7 +232,8 @@ func TestHuffmanOptimizerSingleSymbol(t *testing.T) {
 	var f freqCounter
 	f.count(0x42)
 	spec := f.buildOptimal()
-	enc, err := buildEncoder(spec)
+	var enc huffEncoder
+	err := enc.build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,317 +1,239 @@
 package jpegc
 
-import "bytes"
+import (
+	"bytes"
+	"math/bits"
+)
 
 // maxCorrBits bounds the buffered AC-refinement correction bits attached to
 // a pending EOB run (libjpeg's MAX_CORR_BITS safeguard).
 const maxCorrBits = 937
 
-// symbolSink receives the entropy-coding events of one scan. The encoder
-// walks each scan twice with identical control flow: a stats pass (counting
-// symbols to build optimal Huffman tables) and an emit pass.
-type symbolSink interface {
-	// symbol emits a Huffman-coded symbol through table slot t (0 or 1).
-	symbol(t int, sym byte)
-	// bits emits n raw bits.
-	bits(v uint32, n uint)
-}
-
-type statsSink struct {
-	dc, ac [2]*freqCounter
-	isDC   bool
-}
-
-func (s *statsSink) symbol(t int, sym byte) {
-	if s.isDC {
-		s.dc[t].count(sym)
-	} else {
-		s.ac[t].count(sym)
+// writeProgressiveScan emits the DHT (when Huffman tables are needed), SOS
+// header, and entropy-coded data for one scan of the script.
+func (e *encoder) writeProgressiveScan(buf *bytes.Buffer, scan ScanSpec) error {
+	e.begin()
+	isDC := scan.isDC()
+	switch {
+	case isDC && scan.Ah == 0:
+		e.walkDCFirst(scan)
+	case isDC:
+		e.walkDCRefine(scan)
+	case scan.Ah == 0:
+		e.walkACFirst(scan)
+	default:
+		e.walkACRefine(scan)
 	}
-}
-func (s *statsSink) bits(uint32, uint) {}
 
-type writeSink struct {
-	w      *bitWriter
-	dc, ac [2]*huffEncoder
-	isDC   bool
-}
-
-func (s *writeSink) symbol(t int, sym byte) {
-	if s.isDC {
-		s.dc[t].emit(s.w, sym)
-	} else {
-		s.ac[t].emit(s.w, sym)
-	}
-}
-func (s *writeSink) bits(v uint32, n uint) { s.w.writeBits(v, n) }
-
-// progEncoder entropy-codes a coefficient image scan by scan.
-type progEncoder struct {
-	ci *CoeffImage
-}
-
-func newProgEncoder(ci *CoeffImage) *progEncoder {
-	return &progEncoder{ci: ci}
-}
-
-// tableSlot maps a component to its Huffman table slot: luma uses slot 0,
-// chroma slot 1.
-func tableSlot(comp int) int {
-	if comp > 0 {
-		return 1
-	}
-	return 0
-}
-
-// writeScan emits the DHT (when Huffman tables are needed), SOS header, and
-// entropy-coded data for one scan of the script.
-func (e *progEncoder) writeScan(buf *bytes.Buffer, scan ScanSpec) error {
-	dcRefine := scan.isDC() && scan.Ah > 0
-
-	var dcSpec, acSpec [2]*huffSpec
-	var dcEnc, acEnc [2]*huffEncoder
+	// A DC refinement scan codes raw bits only and needs no tables.
+	dcRefine := isDC && scan.Ah > 0
 	if !dcRefine {
-		// Stats pass.
-		stats := &statsSink{isDC: scan.isDC()}
-		for t := 0; t < 2; t++ {
-			stats.dc[t] = &freqCounter{}
-			stats.ac[t] = &freqCounter{}
+		class, base := 1, acTable
+		if isDC {
+			class, base = 0, dcTable
 		}
-		if err := e.walkScan(scan, stats); err != nil {
-			return err
-		}
-		var entries []dhtEntry
-		slots := map[int]bool{}
+		var used [2]bool
 		for _, c := range scan.Comps {
-			slots[tableSlot(c)] = true
+			used[tableSlot(c)] = true
 		}
+		var dht []dhtEntry
 		var err error
 		for t := 0; t < 2; t++ {
-			if !slots[t] {
+			if !used[t] {
 				continue
 			}
-			if scan.isDC() {
-				dcSpec[t] = stats.dc[t].buildOptimal()
-				if dcEnc[t], err = buildEncoder(dcSpec[t]); err != nil {
-					return err
-				}
-				entries = append(entries, dhtEntry{0, byte(t), dcSpec[t]})
-			} else {
-				acSpec[t] = stats.ac[t].buildOptimal()
-				if acEnc[t], err = buildEncoder(acSpec[t]); err != nil {
-					return err
-				}
-				entries = append(entries, dhtEntry{1, byte(t), acSpec[t]})
+			if dht, err = e.setTable(dht, class, base+t, e.freq[base+t].buildOptimal()); err != nil {
+				return err
 			}
 		}
-		writeDHT(buf, entries)
+		writeDHT(buf, dht)
 	}
-
-	dcTab := func(c int) byte {
-		if scan.isDC() && !dcRefine {
-			return byte(tableSlot(c))
-		}
-		return 0
-	}
-	acTab := func(c int) byte {
-		if !scan.isDC() {
-			return byte(tableSlot(c))
-		}
-		return 0
-	}
-	writeSOS(buf, e.ci, scan, dcTab, acTab)
-
-	w := newBitWriter(buf)
-	sink := &writeSink{w: w, dc: dcEnc, ac: acEnc, isDC: scan.isDC()}
-	if err := e.walkScan(scan, sink); err != nil {
-		return err
-	}
-	w.flush()
-	return nil
-}
-
-// walkScan performs the entropy-coding control flow of one scan, feeding
-// symbols and raw bits to sink. The walk is deterministic so the stats and
-// emit passes produce identical symbol sequences.
-func (e *progEncoder) walkScan(scan ScanSpec, sink symbolSink) error {
-	switch {
-	case scan.isDC() && scan.Ah == 0:
-		e.walkDCFirst(scan, sink)
-	case scan.isDC():
-		e.walkDCRefine(scan, sink)
-	case scan.Ah == 0:
-		e.walkACFirst(scan, sink)
-	default:
-		e.walkACRefine(scan, sink)
-	}
+	writeSOS(buf, scan, isDC && !dcRefine, !isDC)
+	e.emit(buf)
 	return nil
 }
 
 // walkDCFirst codes the DC band's first pass: difference coding of
 // point-transformed DC values in interleaved MCU order.
-func (e *progEncoder) walkDCFirst(scan ScanSpec, sink symbolSink) {
+func (e *encoder) walkDCFirst(scan ScanSpec) {
 	var prevDC [3]int32
-	e.ci.forEachMCUBlock(scan.Comps, func(c, idx int, pad bool) {
-		v := e.ci.Blocks[c][idx][0] >> uint(scan.Al)
+	e.order = e.ci.appendMCUOrder(e.order[:0], scan.Comps)
+	for _, b := range e.order {
+		c := int(b.comp)
+		v := e.ci.Blocks[c][b.idx][0] >> uint(scan.Al)
 		diff := v - prevDC[c]
 		prevDC[c] = v
-		size, bits := magnitude(diff)
-		sink.symbol(tableSlot(c), byte(size))
-		sink.bits(bits, size)
-	})
+		size, raw := magnitude(diff)
+		e.symbol(dcTable+tableSlot(c), byte(size), raw, size)
+	}
 }
 
 // walkDCRefine codes a DC refinement pass: one raw bit per block.
-func (e *progEncoder) walkDCRefine(scan ScanSpec, sink symbolSink) {
-	e.ci.forEachMCUBlock(scan.Comps, func(c, idx int, pad bool) {
-		v := e.ci.Blocks[c][idx][0] >> uint(scan.Al)
-		sink.bits(uint32(v)&1, 1)
-	})
+func (e *encoder) walkDCRefine(scan ScanSpec) {
+	e.order = e.ci.appendMCUOrder(e.order[:0], scan.Comps)
+	for _, b := range e.order {
+		v := e.ci.Blocks[b.comp][b.idx][0] >> uint(scan.Al)
+		e.rawBits([]byte{byte(v & 1)})
+	}
+}
+
+// flushEOB records the pending EOB run, if any, and the correction bits
+// that follow it.
+func (e *encoder) flushEOB(tab int) {
+	if e.eobrun == 0 {
+		return
+	}
+	r := uint(bits.Len(uint(e.eobrun))) - 1
+	e.symbol(tab, byte(r<<4), uint32(e.eobrun)-1<<r, r)
+	e.eobrun = 0
+	e.rawBits(e.carry)
+	e.carry = e.carry[:0]
+}
+
+// nonzeroMasks returns, per block of component c, a mask with bit k set
+// where zigzag coefficient k is nonzero. It is built once per image, on the
+// component's first AC scan: the AC walks then visit only these
+// coefficients, so the zeros that make up most of a band cost nothing.
+func (e *encoder) nonzeroMasks(c int) []uint64 {
+	if e.nonzero[c] == nil {
+		blocks := e.ci.Blocks[c]
+		masks := make([]uint64, len(blocks))
+		for i := range blocks {
+			blk := &blocks[i]
+			var nz uint64
+			for k, nat := range zigzag {
+				v := blk[nat]
+				nz |= uint64(uint32(v|-v)>>31) << k // sign bit of v|-v: v != 0
+			}
+			masks[i] = nz
+		}
+		e.nonzero[c] = masks
+	}
+	return e.nonzero[c]
+}
+
+// bandBits is the mask of zigzag positions ss through se.
+func bandBits(ss, se int) uint64 {
+	return (uint64(1)<<(se+1) - 1) &^ (uint64(1)<<ss - 1)
+}
+
+// bandMask returns, of the coefficients of blk flagged in cand, the mask
+// of those whose magnitude after the point transform al is nonzero and the
+// mask of those where it is exactly 1.
+func bandMask(blk *Block, cand uint64, al uint) (nonzero, one uint64) {
+	for ; cand != 0; cand &= cand - 1 {
+		k := bits.TrailingZeros64(cand)
+		a := pointMagnitude(blk[zigzag[k]], al)
+		// Branch-free: the sign bit of -x is set exactly when x > 0, and
+		// a and a^1 are never negative.
+		nonzero |= uint64(uint32(-a)>>31) << k
+		one |= uint64(uint32(-(a^1))>>31^1) << k
+	}
+	return nonzero, one
+}
+
+// pointMagnitude is |v| >> al.
+func pointMagnitude(v int32, al uint) int32 {
+	m := v >> 31 // 0 or -1
+	return ((v ^ m) - m) >> al
 }
 
 // walkACFirst codes the first pass of an AC band: run-length coding of
 // point-transformed coefficients with EOB-run aggregation across blocks.
-func (e *progEncoder) walkACFirst(scan ScanSpec, sink symbolSink) {
+func (e *encoder) walkACFirst(scan ScanSpec) {
 	c := scan.Comps[0]
-	t := tableSlot(c)
+	t := acTable + tableSlot(c)
 	al := uint(scan.Al)
-	eobrun := 0
-	flushEOB := func() {
-		if eobrun == 0 {
-			return
-		}
-		r := uint(0)
-		for (1 << (r + 1)) <= eobrun {
-			r++
-		}
-		sink.symbol(t, byte(r<<4))
-		sink.bits(uint32(eobrun)-1<<r, r)
-		eobrun = 0
-	}
-	for _, blk := range e.ci.Blocks[c] {
-		r := 0
-		for k := scan.Ss; k <= scan.Se; k++ {
-			v := blk[zigzag[k]]
-			var a int32
-			if v < 0 {
-				a = -v >> al
-			} else {
-				a = v >> al
-			}
-			if a == 0 {
-				r++
-				continue
-			}
-			flushEOB()
+	blocks, masks, band := e.ci.Blocks[c], e.nonzeroMasks(c), bandBits(scan.Ss, scan.Se)
+	for i := range blocks {
+		blk := &blocks[i]
+		nz, _ := bandMask(blk, masks[i]&band, al)
+		prev := scan.Ss - 1 // the last nonzero coefficient coded
+		for ; nz != 0; nz &= nz - 1 {
+			k := bits.TrailingZeros64(nz)
+			r := k - prev - 1
+			prev = k
+			e.flushEOB(t)
 			for r > 15 {
-				sink.symbol(t, 0xF0) // ZRL
+				e.symbol(t, 0xF0, 0, 0) // ZRL
 				r -= 16
 			}
-			sv := a
+			v := blk[zigzag[k]]
+			sv := pointMagnitude(v, al)
 			if v < 0 {
-				sv = -a
+				sv = -sv
 			}
-			size, bits := magnitude(sv)
-			sink.symbol(t, byte(r<<4)|byte(size))
-			sink.bits(bits, size)
-			r = 0
+			size, raw := magnitude(sv)
+			e.symbol(t, byte(r<<4)|byte(size), raw, size)
 		}
-		if r > 0 {
-			eobrun++
-			if eobrun == 0x7FFF {
-				flushEOB()
+		if prev < scan.Se {
+			e.eobrun++
+			if e.eobrun == 0x7FFF {
+				e.flushEOB(t)
 			}
 		}
 	}
-	flushEOB()
+	e.flushEOB(t)
 }
 
 // walkACRefine codes an AC refinement pass, following the structure of
 // libjpeg's encode_mcu_AC_refine: newly significant coefficients get
 // run/size symbols, already-significant ones contribute buffered correction
 // bits, and trailing zeros fold into a cross-block EOB run.
-func (e *progEncoder) walkACRefine(scan ScanSpec, sink symbolSink) {
+func (e *encoder) walkACRefine(scan ScanSpec) {
 	c := scan.Comps[0]
-	t := tableSlot(c)
+	t := acTable + tableSlot(c)
 	al := uint(scan.Al)
-	eobrun := 0
-	var carry []byte // correction bits attached to the pending EOB run
-	var cur []byte   // correction bits collected since the last symbol
-
-	emitBuffered := func(bitsBuf []byte) {
-		for _, b := range bitsBuf {
-			sink.bits(uint32(b), 1)
-		}
-	}
-	flushEOB := func() {
-		if eobrun == 0 {
-			return
-		}
-		r := uint(0)
-		for (1 << (r + 1)) <= eobrun {
-			r++
-		}
-		sink.symbol(t, byte(r<<4))
-		sink.bits(uint32(eobrun)-1<<r, r)
-		eobrun = 0
-		emitBuffered(carry)
-		carry = carry[:0]
-	}
-
-	var absv [64]int32
-	for _, blk := range e.ci.Blocks[c] {
-		// Point-transformed magnitudes and the index of the last newly
-		// significant coefficient (EOB position).
+	var cur [64]byte // correction bits collected since the last symbol
+	blocks, masks, band := e.ci.Blocks[c], e.nonzeroMasks(c), bandBits(scan.Ss, scan.Se)
+	for i := range blocks {
+		blk := &blocks[i]
+		nz, one := bandMask(blk, masks[i]&band, al)
+		// eob is the last newly significant coefficient, 0 if none.
 		eob := 0
-		for k := scan.Ss; k <= scan.Se; k++ {
-			v := blk[zigzag[k]]
-			if v < 0 {
-				v = -v
-			}
-			absv[k] = v >> al
-			if absv[k] == 1 {
-				eob = k
-			}
+		if one != 0 {
+			eob = 63 - bits.LeadingZeros64(one)
 		}
-		r := 0
-		cur = cur[:0]
-		for k := scan.Ss; k <= scan.Se; k++ {
-			a := absv[k]
-			if a == 0 {
-				r++
-				continue
-			}
+		// r counts the zeros since the last newly significant coefficient;
+		// already-significant ones do not interrupt the run.
+		r, ncur, prev := 0, 0, scan.Ss-1
+		for ; nz != 0; nz &= nz - 1 {
+			k := bits.TrailingZeros64(nz)
+			r += k - prev - 1
+			prev = k
 			for r > 15 && k <= eob {
-				flushEOB()
-				sink.symbol(t, 0xF0)
+				e.flushEOB(t)
+				e.symbol(t, 0xF0, 0, 0)
 				r -= 16
-				emitBuffered(cur)
-				cur = cur[:0]
+				e.rawBits(cur[:ncur])
+				ncur = 0
 			}
-			if a > 1 {
+			v := blk[zigzag[k]]
+			if a := pointMagnitude(v, al); a > 1 {
 				// Already significant: queue its correction bit.
-				cur = append(cur, byte(a&1))
+				cur[ncur] = byte(a & 1)
+				ncur++
 				continue
 			}
 			// Newly significant coefficient.
-			flushEOB()
-			sink.symbol(t, byte(r<<4)|1)
+			e.flushEOB(t)
 			sign := uint32(1)
-			if blk[zigzag[k]] < 0 {
+			if v < 0 {
 				sign = 0
 			}
-			sink.bits(sign, 1)
-			emitBuffered(cur)
-			cur = cur[:0]
+			e.symbol(t, byte(r<<4)|1, sign, 1)
+			e.rawBits(cur[:ncur])
+			ncur = 0
 			r = 0
 		}
-		if r > 0 || len(cur) > 0 {
-			eobrun++
-			carry = append(carry, cur...)
-			if eobrun == 0x7FFF || len(carry) > maxCorrBits {
-				flushEOB()
+		r += scan.Se - prev
+		if r > 0 || ncur > 0 {
+			e.eobrun++
+			e.carry = append(e.carry, cur[:ncur]...)
+			if e.eobrun == 0x7FFF || len(e.carry) > maxCorrBits {
+				e.flushEOB(t)
 			}
 		}
 	}
-	flushEOB()
+	e.flushEOB(t)
 }

@@ -2,8 +2,187 @@ package jpegc
 
 import (
 	"image"
+	"math"
 	"testing"
 )
+
+// The encoder kernels below are the textbook forms of fdct, quantize,
+// destuff and freqCounter.buildOptimal. The production kernels are
+// unrolled or restructured for speed, and tests require them to return
+// exactly what these do, bit for bit, so every encoded byte stays the same.
+
+func dctScale(u int) float64 {
+	if u == 0 {
+		return math.Sqrt2 / 2 // 1/√2
+	}
+	return 1
+}
+
+// referenceFDCT is fdct as a plain double loop over the separable passes.
+// Its float64 conversions are fdct's: they rule out fused multiply-adds, so
+// both round every product and every partial sum the same way.
+func referenceFDCT(b *[64]float64) {
+	var tmp [64]float64
+	// Rows: 1-D DCT along x.
+	for y := 0; y < 8; y++ {
+		for u := 0; u < 8; u++ {
+			var s float64
+			for x := 0; x < 8; x++ {
+				s += float64(b[y*8+x] * cosTable[u][x])
+			}
+			tmp[y*8+u] = s * dctScale(u) / 2
+		}
+	}
+	// Columns: 1-D DCT along y.
+	for u := 0; u < 8; u++ {
+		for v := 0; v < 8; v++ {
+			var s float64
+			for y := 0; y < 8; y++ {
+				s += float64(tmp[y*8+u] * cosTable[v][y])
+			}
+			b[v*8+u] = s * dctScale(v) / 2
+		}
+	}
+}
+
+// referenceQuantize is quantize with a branch on the sign.
+func referenceQuantize(coef float64, step uint16) int32 {
+	v := coef / float64(step)
+	if v >= 0 {
+		return int32(v + 0.5)
+	}
+	return int32(v - 0.5)
+}
+
+// referenceDestuff is destuff as a single byte-at-a-time pass that finds
+// the marker and unstuffs together.
+func referenceDestuff(data []byte) (payload []byte, consumed int) {
+	out := make([]byte, 0, len(data))
+	i := 0
+	for i < len(data) {
+		b := data[i]
+		if b != 0xFF {
+			out = append(out, b)
+			i++
+			continue
+		}
+		if i+1 >= len(data) {
+			// Trailing 0xFF with nothing after it: treat as data end.
+			return out, i
+		}
+		next := data[i+1]
+		switch {
+		case next == 0x00:
+			out = append(out, 0xFF)
+			i += 2
+		case next == 0xFF:
+			// Fill byte; skip one 0xFF and re-examine.
+			i++
+		default:
+			// A real marker terminates the entropy-coded segment.
+			return out, i
+		}
+	}
+	return out, i
+}
+
+// referenceBuildOptimal is buildOptimal as libjpeg's jpeg_gen_optimal_table
+// writes it: every merge rescans all 257 slots for the two least-frequent
+// entries, and the value list comes from a scan of every (length, symbol)
+// pair.
+func referenceBuildOptimal(f *freqCounter) *huffSpec {
+	var freq [257]int64
+	copy(freq[:], f[:])
+	freq[256] = 1 // reserved: ensures no real all-ones code
+
+	var codesize [257]int
+	var others [257]int
+	for i := range others {
+		others[i] = -1
+	}
+
+	for {
+		// Find the two least-frequent nonzero entries (c1 lowest, c2 next;
+		// ties broken toward larger symbol value for c1 per libjpeg).
+		c1, c2 := -1, -1
+		v := int64(1) << 62
+		for i := 0; i <= 256; i++ {
+			if freq[i] != 0 && freq[i] <= v {
+				v = freq[i]
+				c1 = i
+			}
+		}
+		v = int64(1) << 62
+		for i := 0; i <= 256; i++ {
+			if freq[i] != 0 && freq[i] <= v && i != c1 {
+				v = freq[i]
+				c2 = i
+			}
+		}
+		if c2 < 0 {
+			break // only one entry left: done
+		}
+		freq[c1] += freq[c2]
+		freq[c2] = 0
+		codesize[c1]++
+		for others[c1] >= 0 {
+			c1 = others[c1]
+			codesize[c1]++
+		}
+		others[c1] = c2
+		codesize[c2]++
+		for others[c2] >= 0 {
+			c2 = others[c2]
+			codesize[c2]++
+		}
+	}
+
+	var bits [33]int
+	for i := 0; i <= 256; i++ {
+		if codesize[i] > 0 {
+			if codesize[i] > 32 {
+				codesize[i] = 32
+			}
+			bits[codesize[i]]++
+		}
+	}
+
+	// Limit code lengths to 16 bits (T.81 K.3 adjustment).
+	for l := 32; l > 16; l-- {
+		for bits[l] > 0 {
+			j := l - 2
+			for bits[j] == 0 {
+				j--
+			}
+			bits[l] -= 2
+			bits[l-1]++
+			bits[j+1] += 2
+			bits[j]--
+		}
+	}
+	// Remove the reserved symbol's code from the longest used length.
+	l := 16
+	for l > 0 && bits[l] == 0 {
+		l--
+	}
+	if l > 0 {
+		bits[l]--
+	}
+
+	spec := &huffSpec{}
+	for i := 1; i <= 16; i++ {
+		spec.bits[i-1] = byte(bits[i])
+	}
+	// List symbols in increasing code-length order, breaking ties by value.
+	for size := 1; size <= 32; size++ {
+		for sym := 0; sym <= 255; sym++ {
+			if codesize[sym] == size {
+				spec.vals = append(spec.vals, byte(sym))
+			}
+		}
+	}
+	return spec
+}
 
 // The float pixel path below is a test reference, not a decoder: Decode
 // takes its pixels from image/jpeg. Rebuilding pixels from DecodeCoeffs

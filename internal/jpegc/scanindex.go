@@ -109,8 +109,7 @@ func IndexScans(data []byte) (*StreamIndex, error) {
 				return nil, err
 			}
 			// Entropy-coded data runs until the next marker.
-			_, consumed := destuff(data[pos:])
-			pos += consumed
+			pos += entropyLen(data[pos:])
 			idx.Scans = append(idx.Scans, ScanInfo{
 				Offset: groupStart,
 				Length: pos - groupStart,

@@ -349,6 +349,26 @@ func TestVarzAndHealthz(t *testing.T) {
 			t.Fatalf("varz requests %d exceeds live counter %d", st.Requests, srv.Stats().Requests)
 		}
 	}
+
+	// The nested cache block uses the same snake_case keys as the rest of
+	// /varz (and as disk_cache), not Go field names.
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var cacheKeys map[string]json.RawMessage
+	if err := json.Unmarshal(doc["cache"], &cacheKeys); err != nil {
+		t.Fatalf("varz cache block: %v", err)
+	}
+	want := []string{"hits", "upgrade_hits", "misses", "bytes_fetched", "bytes_served", "evictions"}
+	for _, k := range want {
+		if _, ok := cacheKeys[k]; !ok {
+			t.Errorf("varz cache block lacks %q: %s", k, doc["cache"])
+		}
+	}
+	if len(cacheKeys) != len(want) {
+		t.Errorf("varz cache block has keys beyond %v: %s", want, doc["cache"])
+	}
 }
 
 // TestConcurrentRangeReads hammers the server with concurrent ranged reads

@@ -31,7 +31,11 @@ func Create(dir string, opts ...Option) (*Writer, error) {
 
 // Append adds one sample. When s.JPEG is empty and s.Image is set, the image
 // is encoded first (4:2:0 chroma subsampling at the WithJPEGQuality level,
-// matching how photographic datasets are stored).
+// matching how photographic datasets are stored). The PCR format encodes it
+// straight to a progressive stream, byte for byte what transcoding the
+// baseline encoding would give; TFRecord and FilePerImage store the
+// baseline stream, as the paper's baseline formats do. JPEG bytes given in
+// s.JPEG are stored as they are, and a PCR transcodes baseline ones.
 func (w *Writer) Append(s Sample) error {
 	if w.closed {
 		return fmt.Errorf("pcr: append: %w", ErrClosed)
@@ -40,7 +44,8 @@ func (w *Writer) Append(s Sample) error {
 		if s.Image == nil {
 			return fmt.Errorf("pcr: sample %d has neither JPEG bytes nor an image", s.ID)
 		}
-		data, err := jpegc.Encode(s.Image, &jpegc.Options{Quality: w.cfg.jpegQuality, Subsample420: true})
+		opts := &jpegc.Options{Quality: w.cfg.jpegQuality, Subsample420: true, Progressive: w.cfg.format == PCR}
+		data, err := jpegc.Encode(s.Image, opts)
 		if err != nil {
 			return fmt.Errorf("pcr: encoding sample %d: %w", s.ID, err)
 		}
